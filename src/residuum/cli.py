@@ -19,7 +19,7 @@ import sys
 
 from . import currents, quadrature
 from .currents import SweepRefusedError
-from .newton import complement_volume, facet_det
+from .newton import complement_volume, facet_det, newton_polyhedron
 from .problem import ParseError, fixture_tag, parse
 from .report import (
     Report,
@@ -140,7 +140,8 @@ def _run(args, out, err):
     cmd = args.command
 
     if cmd == "polytope":
-        poly = currents.residue_current(seq, weight).scaled_np
+        poly = newton_polyhedron(currents.scaled_points(seq, weight), seq.dim)
+        dets = [facet_det(poly, f) for f in poly.facets]
         results["points"] = [list(p) for p in poly.points]
         results["facets"] = [
             {
@@ -148,21 +149,21 @@ def _run(args, out, err):
                 "level": f.level,
                 "on_facet": one_based(f.on_facet),
                 "vertices": one_based(f.vertices),
-                "det": facet_det(poly, f),
+                "det": d,
             }
-            for f in poly.facets
+            for f, d in zip(poly.facets, dets)
         ]
         results["complement_volume"] = complement_volume(poly)
         lines.append(f"scaled points: {[tuple(p) for p in poly.points]}")
-        for f in poly.facets:
+        for f, d in zip(poly.facets, dets):
             lines.append(
                 f"facet normal {tuple(f.normal)} level {f.level} "
-                f"on {index_str(f.on_facet)} det {facet_det(poly, f)}"
+                f"on {index_str(f.on_facet)} det {d}"
             )
         lines.append(f"complement volume: {results['complement_volume']}")
 
     elif cmd == "valuations":
-        poly = currents.residue_current(seq, weight).scaled_np
+        poly = newton_polyhedron(currents.scaled_points(seq, weight), seq.dim)
         results["valuations"] = [
             {"normal": list(f.normal), "level": f.level} for f in poly.facets
         ]

@@ -182,12 +182,9 @@ class Multiplicity:
         return self.exact is not None
 
 
-def _index_det(seq, index):
-    return det([list(seq.exps[i]) for i in index])
-
-
-def _scaled_index_det(pts, index):
-    return det([list(pts[i]) for i in index])
+def _index_det(points, index):
+    """Determinant of the n points at the positions in index."""
+    return det([list(points[i]) for i in index])
 
 
 def p_essential_indices(seq, p):
@@ -198,7 +195,7 @@ def p_essential_indices(seq, p):
     poly = newton_polyhedron(pts, seq.dim)
     out = []
     for index in combinations(range(seq.m), seq.dim):
-        if _index_det(seq, index) == 0:
+        if _index_det(seq.exps, index) == 0:
             continue
         wits = [f for f in poly.facets if set(index) <= set(f.on_facet)]
         if wits:
@@ -210,20 +207,24 @@ def _sign(x):
     return 1 if x > 0 else -1
 
 
-def _diagonalizable_chart(facet, pts, n):
-    """Whether the facet's point differences admit a lattice basis making
-    them diagonal (needed for the exact coefficient-1 argument, n >= 3)."""
-    positions = facet.on_facet
-    if len(positions) != n:
-        return False
+def _chart_coordinates(facet, pts):
+    """Lattice coordinates along the facet of each on-facet point: the
+    dot products with the rows completing the facet normal to a
+    unimodular basis."""
     eta = unimodular_completion(facet.normal)[1:]
-    coords = [tuple(dot(e, pts[k]) for e in eta) for k in positions]
-    for base in range(n):
-        cols = [vsub(coords[k], coords[base]) for k in range(n) if k != base]
+    return [tuple(dot(e, pts[k]) for e in eta) for k in facet.on_facet]
+
+
+def _diagonalizable_chart(coords):
+    """Whether the differences of n chart points in Z^(n-1) from some
+    base point admit a lattice basis making them diagonal (needed for
+    the exact coefficient-1 argument, n >= 3)."""
+    for base, origin in enumerate(coords):
+        cols = [vsub(c, origin) for k, c in enumerate(coords) if k != base]
         contents = [content(c) for c in cols]
-        if any(g == 0 for g in contents):
-            return False
-        m = [[c[j] for c in cols] for j in range(n - 1)]
+        if 0 in contents:
+            continue
+        m = [[c[j] for c in cols] for j in range(len(cols))]
         prodg = 1
         for g in contents:
             prodg *= g
@@ -255,7 +256,7 @@ def residue_current(seq, p):
     entries = []
     for index in combinations(range(seq.m), n):
         alpha = tuple(sum(seq.exps[i][j] for i in index) for j in range(n))
-        d = _index_det(seq, index)
+        d = _index_det(seq.exps, index)
         if d == 0:
             entries.append(CurrentEntry(index, True, "zero determinant", None, alpha, None, ()))
             continue
@@ -267,7 +268,11 @@ def residue_current(seq, p):
             len(per_facet[(f.normal, f.level)]) == 1 for f in wits
         )
         known = unique_everywhere and (
-            n <= 2 or all(_diagonalizable_chart(f, pts, n) for f in wits)
+            n <= 2
+            or all(
+                len(f.on_facet) == n and _diagonalizable_chart(_chart_coordinates(f, pts))
+                for f in wits
+            )
         )
         if known:
             coeff = Coefficient(kind="known", value=1)
@@ -319,8 +324,8 @@ def coffe_constraints(seq, p):
         ]
         if not members:
             continue
-        scaled = tuple(abs(_scaled_index_det(pts, i)) for i in members)
-        unscaled = tuple(abs(_index_det(seq, i)) for i in members)
+        scaled = tuple(abs(_index_det(pts, i)) for i in members)
+        unscaled = tuple(abs(_index_det(seq.exps, i)) for i in members)
         rhs = facet_det(poly, f)
         unscaled_rhs = None
         if seq.dim <= 2:
@@ -394,7 +399,7 @@ def multiplicity_ep(seq, p, numeric=None):
     """
     cur = residue_current(seq, p)
     ess = cur.nonvanishing()
-    weights = {e.index: abs(_index_det(seq, e.index)) for e in ess}
+    weights = {e.index: abs(_index_det(seq.exps, e.index)) for e in ess}
     constraints = tuple(coffe_constraints(seq, p))
 
     exact = None
@@ -502,7 +507,7 @@ def ann_independent_of_p(seq):
     nondegenerate n-subset already generates the full ideal."""
     full = seq.ideal
     for index in combinations(range(seq.m), seq.dim):
-        if _index_det(seq, index) == 0:
+        if _index_det(seq.exps, index) == 0:
             continue
         sub = MonomialIdeal.from_gens(seq.dim, [seq.exps[i] for i in index])
         if sub != full:

@@ -133,30 +133,3 @@ class MonomialIdeal:
         poly = self.newton_polyhedron()
         return MonomialIdeal.from_gens(self.dim, minimal_points(poly))
 
-
-def from_gens(dim, raw):
-    return MonomialIdeal.from_gens(dim, raw)
-
-
-def member(x, ideal):
-    return ideal.contains(x)
-
-
-def intersect(a, b):
-    return a.intersect(b)
-
-
-def colon_monomial(ideal, m):
-    return ideal.colon(m)
-
-
-def power(ideal, k):
-    return ideal.power(k)
-
-
-def integral_closure(ideal):
-    return ideal.integral_closure()
-
-
-def is_cofinite(ideal):
-    return ideal.is_cofinite()

@@ -51,30 +51,17 @@ def primitive(v):
 def det(rows):
     """Exact determinant of a square integer matrix (list of rows).
 
-    Cofactor expansion up to 4x4, fraction-free Bareiss elimination
-    beyond that; both branches stay in exact integers.
+    Closed form for 1x1 and 2x2, fraction-free Bareiss elimination
+    beyond that; both stay in exact integers.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("determinant requires a nonempty square matrix")
-    if n <= 4:
-        return _det_cofactor([list(r) for r in rows])
-    return _det_bareiss([list(r) for r in rows])
-
-
-def _det_cofactor(m):
-    n = len(m)
     if n == 1:
-        return m[0][0]
+        return rows[0][0]
     if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j, a in enumerate(m[0]):
-        if a == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * a * _det_cofactor(minor)
-    return total
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return _det_bareiss([list(r) for r in rows])
 
 
 def _det_bareiss(m):
@@ -169,12 +156,14 @@ def unimodular_completion(rho):
     return tuple(rows)
 
 
-def rank(rows):
-    """Rank over Q of a matrix with integer or Fraction entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
+def _row_reduce(m, ncols):
+    """Gauss-Jordan on the Fraction rows m in place, pivoting in the
+    first ncols columns only; returns the pivot columns in row order."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -185,41 +174,29 @@ def rank(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows):
+    """Rank over Q of a matrix with integer or Fraction entries."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_row_reduce(m, len(m[0]) if m else 0))
 
 
 def solve_exact(rows, rhs):
     """One exact rational solution x of rows @ x = rhs, or None.
 
-    Free variables are pinned to 0. Returns a tuple of Fractions.
+    Row-reduces the augmented matrix; the system is inconsistent when a
+    zero row keeps a nonzero right-hand side. Free variables are pinned
+    to 0. Returns a tuple of Fractions.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    pivots = _row_reduce(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+    for row, c in zip(aug, pivots):
+        x[c] = row[ncols]
     return tuple(x)

@@ -3,18 +3,24 @@
 The polyhedron of a set S of lattice points is conv(S) + R^n_+. Only
 its compact facets are materialized: a facet is compact exactly when
 its primitive inward normal is strictly positive. For cofinite S (a
-pure power on every axis) the compact facet inequalities together with
-x >= 0 describe the polyhedron completely, which is what membership
-tests rely on.
+pure power on every axis) every other facet lies in a coordinate
+hyperplane, so the compact facet inequalities together with x >= 0
+describe the polyhedron completely. Membership tests rely on that, and
+so does the vertex test: a point is a vertex exactly when the
+inequalities it satisfies with equality have rank n.
+
+In three or more variables one enumerator lists the supporting
+hyperplanes through n affinely independent points. It gives the
+compact facets here, and the faces of each facet that the volume
+triangulation fans over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
-from .lattice import det, dot, primitive, solve_exact, vsub
+from .lattice import det, dot, primitive, rank, vsub
 
 
 class NotCofiniteError(ValueError):
@@ -71,8 +77,10 @@ def newton_polyhedron(points, dim=None):
     """Compact facets of conv(points) + R^n_+ with exact arithmetic.
 
     n = 1 keeps the minimal exponent as the single degenerate facet,
-    n = 2 runs a staircase hull, n >= 3 enumerates supporting
-    hyperplanes through n-subsets directly.
+    n = 2 runs a staircase hull, n >= 3 keeps the strictly positive
+    normals among all supporting hyperplanes through n-subsets. Each
+    facet lists the generating points on it and, among those, the
+    vertices of the polyhedron.
     """
     points = tuple(tuple(p) for p in points)
     if not points:
@@ -96,12 +104,13 @@ def newton_polyhedron(points, dim=None):
     elif dim == 2:
         hyperplanes = _compact_facets_2d(distinct)
     else:
-        hyperplanes = _compact_facets_nd(distinct, dim)
+        hyperplanes = [h for h in _hull_facets(distinct, dim) if min(h[0]) > 0]
+    hyperplanes = sorted(hyperplanes)
 
     facets = []
-    for normal, level in sorted(hyperplanes):
+    for normal, level in hyperplanes:
         on = tuple(i for i, p in enumerate(points) if dot(normal, p) == level)
-        verts = _facet_vertices(points, on, dim)
+        verts = _facet_vertices(points, on, hyperplanes, dim)
         facets.append(Facet(normal=normal, level=level, on_facet=on, vertices=verts))
 
     poly = NewtonPolyhedron(dim=dim, points=points, facets=tuple(facets))
@@ -147,57 +156,36 @@ def _hyperplane_normal(pts):
     return tuple(normal)
 
 
-def _compact_facets_nd(distinct, dim):
+def _hull_facets(pts, d):
+    """Every hyperplane through d affinely independent points of pts in
+    Z^d that supports conv(pts), as (inward primitive normal, level)
+    pairs, sorted. When all of pts lies on the hyperplane both
+    orientations support it and both are returned."""
     found = set()
-    for subset in combinations(range(len(distinct)), dim):
-        pts = [distinct[i] for i in subset]
-        normal = _hyperplane_normal(pts)
+    for subset in combinations(range(len(pts)), d):
+        sel = [pts[i] for i in subset]
+        normal = _hyperplane_normal(sel)
         if normal is None:
             continue
-        level = dot(normal, pts[0])
-        sides = [dot(normal, q) - level for q in distinct]
-        nonneg = all(s >= 0 for s in sides)
-        nonpos = all(s <= 0 for s in sides)
-        if not nonneg and not nonpos:
-            continue
-        if (not nonneg) or (nonpos and sum(normal) < 0):
-            # flip to the inward orientation; when every point lies on
-            # the hyperplane either sign supports, so pick the positive one
-            normal = tuple(-a for a in normal)
         normal = primitive(normal)
-        if any(a <= 0 for a in normal):
-            continue
-        found.add((normal, dot(normal, pts[0])))
+        level = dot(normal, sel[0])
+        sides = [dot(normal, q) - level for q in pts]
+        if all(s >= 0 for s in sides):
+            found.add((normal, level))
+        if all(s <= 0 for s in sides):
+            found.add((tuple(-a for a in normal), -level))
     return sorted(found)
 
 
-def in_convex_hull(x, pts):
-    """Exact test x in conv(pts) via Caratheodory: some affinely
-    independent subset of size <= d+1 carries a convex combination."""
-    d = len(x)
-    pts = [tuple(p) for p in pts]
-    if tuple(x) in pts:
-        return True
-    for k in range(2, d + 2):
-        for subset in combinations(pts, k):
-            rows = [[Fraction(p[i]) for p in subset] for i in range(d)]
-            rows.append([Fraction(1)] * k)
-            sol = solve_exact(rows, list(x) + [1])
-            if sol is None:
-                continue
-            # solve_exact pins free variables; verify and check nonnegativity
-            if any(c < 0 for c in sol):
-                continue
-            ok = all(
-                sum(c * p[i] for c, p in zip(sol, subset)) == x[i] for i in range(d)
-            ) and sum(sol) == 1
-            if ok:
-                return True
-    return False
+def _facet_vertices(points, on, hyperplanes, dim):
+    """Indices in `on` whose point is a vertex of the facet polytope.
 
-
-def _facet_vertices(points, on, dim):
-    """Indices in `on` whose point is a vertex of the facet polytope."""
+    In two variables these are the segment's endpoints. Beyond that a
+    point is a vertex exactly when the compact facet normals and the
+    coordinate axes e_i that it meets with equality have rank dim; the
+    polyhedron of a cofinite set is cut out by exactly these
+    inequalities, so this is the usual vertex criterion.
+    """
     on_pts = [points[i] for i in on]
     distinct = sorted(set(on_pts))
     if dim == 1 or len(distinct) == 1:
@@ -205,32 +193,13 @@ def _facet_vertices(points, on, dim):
     if dim == 2:
         vertex_pts = {min(distinct), max(distinct)}
     else:
-        vertex_pts = {
-            p for p in distinct if not in_convex_hull(p, [q for q in distinct if q != p])
-        }
+        vertex_pts = set()
+        for p in distinct:
+            active = [normal for normal, level in hyperplanes if dot(normal, p) == level]
+            active += [tuple(int(j == i) for j in range(dim)) for i in range(dim) if p[i] == 0]
+            if rank(active) == dim:
+                vertex_pts.add(p)
     return tuple(i for i in on if points[i] in vertex_pts)
-
-
-def _all_hull_facets(pts, d):
-    """All facets of conv(pts) for full-dimensional pts in Z^d, as
-    (inward primitive normal, level) pairs."""
-    found = set()
-    for subset in combinations(range(len(pts)), d):
-        sel = [pts[i] for i in subset]
-        normal = _hyperplane_normal(sel)
-        if normal is None:
-            continue
-        level = dot(normal, sel[0])
-        sides = [dot(normal, q) - level for q in pts]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            normal = tuple(-a for a in normal)
-        else:
-            continue
-        normal = primitive(normal)
-        found.add((normal, dot(normal, sel[0])))
-    return sorted(found)
 
 
 def _triangulate(pts, d):
@@ -244,7 +213,7 @@ def _triangulate(pts, d):
         return [(min(pts), max(pts))]
     apex = pts[0]
     simplices = []
-    for normal, level in _all_hull_facets(pts, d):
+    for normal, level in _hull_facets(pts, d):
         if dot(normal, apex) == level:
             continue
         face = [p for p in pts if dot(normal, p) == level]

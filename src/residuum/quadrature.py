@@ -39,12 +39,14 @@ from math import fsum, pi
 import numpy.polynomial.legendre as _legendre
 
 from .currents import (
+    _chart_coordinates,
+    _diagonalizable_chart,
     check_weight,
     coffe_constraints,
     p_essential_indices,
     scaled_points,
 )
-from .lattice import content, det, dot, unimodular_complement, unimodular_completion, vsub
+from .lattice import det, dot, unimodular_complement
 from .newton import newton_polyhedron
 
 
@@ -378,26 +380,9 @@ def _quadrant_sum(radial2, target, max_cells):
 
 
 def _chart_columns_3d(facet, pts):
-    eta = unimodular_completion(facet.normal)[1:]
-    cols = [tuple(dot(e, pts[k]) for e in eta) for k in facet.on_facet]
+    cols = _chart_coordinates(facet, pts)
     mins = [min(c[j] for c in cols) for j in range(2)]
     return [tuple(c[j] - mins[j] for j in range(2)) for c in cols]
-
-
-def _diagonalizable_columns(cols, slots):
-    sel = [cols[k] for k in slots]
-    for base in range(len(sel)):
-        diffs = [vsub(sel[k], sel[base]) for k in range(len(sel)) if k != base]
-        contents = [content(d) for d in diffs]
-        if any(g == 0 for g in contents):
-            continue
-        m = [[d[j] for d in diffs] for j in range(2)]
-        prod = 1
-        for g in contents:
-            prod *= g
-        if abs(det(m)) == prod:
-            return True
-    return False
 
 
 def _numeric_coefficients_3d(seq, p, max_cells=640):
@@ -412,7 +397,7 @@ def _numeric_coefficients_3d(seq, p, max_cells=640):
             charts[key] = _chart_columns_3d(facet, pts)
         cols = charts[key]
         slots = tuple(facet.on_facet.index(i) for i in index)
-        if not _diagonalizable_columns(cols, slots):
+        if not _diagonalizable_chart([cols[k] for k in slots]):
             raise ValueError(
                 f"facet chart for index {index} is not diagonalizable; refused"
             )

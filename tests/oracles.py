@@ -3,7 +3,8 @@
 Everything here is deliberately reimplemented from definitions and
 shares no nontrivial code path with the library: permutation-expansion
 determinants, divisibility membership straight off generator lists,
-hull membership via exact rational feasibility, and small random
+hull membership via exact rational feasibility (including the
+Caratheodory test that decides facet vertices), and small random
 instance generators.
 """
 
@@ -104,6 +105,29 @@ def orthant_hull_member(points, x):
             if all(
                 sum(c * col[i] for c, col in zip(sol, subset)) == target[i]
                 for i in range(d + 1)
+            ):
+                return True
+    return False
+
+
+def in_convex_hull(x, pts):
+    """Exact test x in conv(pts) via Caratheodory: some subset of at most
+    d+1 points carries a convex combination. An affinely dependent
+    subset pins its free weights to 0, which a smaller subset covers."""
+    d = len(x)
+    pts = [tuple(p) for p in pts]
+    if tuple(x) in pts:
+        return True
+    target = list(x) + [1]
+    for k in range(2, d + 2):
+        for subset in combinations(pts, k):
+            rows = [[p[i] for p in subset] for i in range(d)] + [[1] * k]
+            sol = _solve_fraction(rows, target)
+            if sol is None or any(c < 0 for c in sol):
+                continue
+            if all(
+                sum(c * row[j] for j, c in enumerate(sol)) == t
+                for row, t in zip(rows, target)
             ):
                 return True
     return False

@@ -124,3 +124,26 @@ def test_rank_and_solve():
     sol = solve_exact([[2, 0], [0, 4]], [6, 8])
     assert sol == (3, 2)
     assert solve_exact([[1, 1], [1, 1]], [1, 2]) is None
+
+
+def test_rank_and_solve_share_consistent_elimination():
+    rng = random.Random(29)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:
+            # force a dependent row
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, x0)) for row in rows]
+        else:
+            rhs = [rng.randint(-5, 5) for _ in range(nrows)]
+        augmented = [row + [r] for row, r in zip(rows, rhs)]
+        sol = solve_exact(rows, rhs)
+        assert (sol is None) == (rank(rows) < rank(augmented))
+        if sol is not None:
+            assert all(sum(a * x for a, x in zip(row, sol)) == r for row, r in zip(rows, rhs))
+        transpose = [list(col) for col in zip(*rows)]
+        assert rank(rows) == rank(transpose)

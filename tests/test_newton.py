@@ -2,19 +2,19 @@ import random
 
 import pytest
 
+from residuum.ideals import MonomialIdeal
 from residuum.newton import (
     NotCofiniteError,
     _compact_facets_2d,
-    _compact_facets_nd,
+    _hull_facets,
     complement_volume,
     facet_det,
-    in_convex_hull,
     lattice_points_in,
     minimal_points,
     newton_polyhedron,
 )
 
-from oracles import orthant_hull_member, random_cofinite_gens
+from oracles import in_convex_hull, orthant_hull_member, random_cofinite_gens
 
 
 def test_single_facet_staircase():
@@ -109,7 +109,8 @@ def test_staircase_agrees_with_general_hull():
     for _ in range(200):
         gens = random_cofinite_gens(rng, 2, max_exp=9, extra=4)
         distinct = sorted(set(gens))
-        assert sorted(_compact_facets_2d(distinct)) == _compact_facets_nd(distinct, 2)
+        compact = [h for h in _hull_facets(distinct, 2) if min(h[0]) > 0]
+        assert sorted(_compact_facets_2d(distinct)) == compact
 
 
 def test_homothety_of_complement_volume():
@@ -152,6 +153,80 @@ def test_in_convex_hull_basic():
     assert in_convex_hull((1, 1), [(2, 0), (0, 2)])
     assert not in_convex_hull((2, 2), [(2, 0), (0, 2)])
     assert in_convex_hull((1, 1, 1), [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert not in_convex_hull((3, 0, 0), [(0, 3, 0), (0, 0, 3), (1, 1, 1)])
+    # on the segment between two points, but not at a vertex
+    assert in_convex_hull((2, 1, 0), [(4, 0, 0), (0, 2, 0), (0, 0, 5)])
+
+
+def _assert_vertices_match_oracle(gens, dim):
+    """A point on a facet is a vertex exactly when it is not in the hull
+    of the other distinct points on the facet. The facet is projected
+    along an axis its normal is not orthogonal to, so the Caratheodory
+    oracle works in dim - 1 coordinates."""
+    poly = newton_polyhedron(gens, dim)
+    for f in poly.facets:
+        k = next(i for i, a in enumerate(f.normal) if a)
+        on = sorted({poly.points[i] for i in f.on_facet})
+        proj = {p: p[:k] + p[k + 1:] for p in on}
+        expected = {p for p in on if not in_convex_hull(proj[p], [proj[q] for q in on if q != p])}
+        assert f.vertices == tuple(i for i in f.on_facet if poly.points[i] in expected)
+
+
+def _staircase_ideal(rng, dim):
+    """Pure powers 3..6 plus a few small points, most of them below the
+    simplex of the pure powers, so the polyhedron has several facets."""
+    gens = [tuple(rng.randint(3, 6) * (i == j) for j in range(dim)) for i in range(dim)]
+    gens += [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+    return MonomialIdeal.from_gens(dim, [g for g in gens if any(g)])
+
+
+def test_facet_vertices_match_caratheodory_oracle():
+    rng = random.Random(53)
+    for dim, count, powers in ((3, 8, (1, 2, 3)), (4, 2, (1, 2))):
+        for _ in range(count):
+            ideal = _staircase_ideal(rng, dim)
+            for k in powers:
+                _assert_vertices_match_oracle(ideal.power(k).gens, dim)
+    # the cube of a scaled set on which the subset-based vertex test took seconds
+    scaled = [(0, 0, 3), (0, 6, 0), (1, 1, 2), (3, 1, 1), (8, 0, 0)]
+    _assert_vertices_match_oracle(MonomialIdeal.from_gens(3, scaled).power(3).gens, 3)
+
+
+def _qhull_compact_facets(points):
+    """Compact facets of conv(points) + R^n_+ read off scipy's qhull, as
+    (rounded unit inward normal, points on the facet) pairs. The orthant
+    is stood in for by copies of the points shifted far along each axis;
+    a facet is compact exactly when its inward normal is strictly
+    positive, and those facets never touch the shifted copies."""
+    spatial = pytest.importorskip("scipy.spatial")
+    dim = len(points[0])
+    far = 1 + sum(max(p) for p in points)
+    cloud = list(points) + [
+        tuple(a + far * (i == j) for j, a in enumerate(p)) for p in points for i in range(dim)
+    ]
+    hull = spatial.ConvexHull(cloud)
+    found = set()
+    for eq in {tuple(round(float(a), 9) for a in e) for e in hull.equations}:
+        inward = [-a for a in eq[:dim]]
+        if min(inward) <= 1e-9:
+            continue
+        on = frozenset(p for p in points if abs(sum(a * b for a, b in zip(eq, p)) + eq[dim]) < 1e-7)
+        found.add((tuple(round(a, 6) for a in inward), on))
+    return found
+
+
+def test_hull_compact_facets_match_qhull():
+    rng = random.Random(59)
+    for _ in range(40):
+        points = sorted(set(random_cofinite_gens(rng, 3, max_exp=5, extra=5)))
+        ours = set()
+        for normal, level in _hull_facets(points, 3):
+            if min(normal) <= 0:
+                continue
+            length = sum(a * a for a in normal) ** 0.5
+            on = frozenset(p for p in points if sum(a * b for a, b in zip(normal, p)) == level)
+            ours.add((tuple(round(a / length, 6) for a in normal), on))
+        assert ours == _qhull_compact_facets(points)
 
 
 def test_unit_ideal_polyhedron():
