@@ -17,12 +17,19 @@ values or their constraint systems, the per-facet relations, the
 inclusion chain around the annihilator, independence predicates, and
 weight-space sweeps. Numeric estimation of undetermined coefficients
 lives in the quadrature module.
+
+The nonsingular n-subsets and their determinants do not depend on the
+weight; the sequence computes them once. Each function of a (sequence,
+weight) pair builds one weighted instance, which holds the scaled
+points, their Newton polyhedron and the essential indices, and reads
+everything else off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .ideals import MonomialIdeal
@@ -48,7 +55,8 @@ class MonomialSeq:
 
     Order matters: current entries are indexed by position subsets.
     Requires at least n entries, every entry nonzero, and a pure power
-    of each variable among the entries (zero set = origin).
+    of each variable among the entries (zero set = origin). The ideal
+    and the nonsingular n-subsets are computed on first use and kept.
     """
 
     dim: int
@@ -75,9 +83,20 @@ class MonomialSeq:
     def m(self):
         return len(self.exps)
 
-    @property
+    @cached_property
     def ideal(self):
         return MonomialIdeal.from_gens(self.dim, self.exps)
+
+    @cached_property
+    def _nonsingular(self):
+        """index -> det for each n-subset of positions whose unscaled
+        exponent matrix is nonsingular, in lexicographic order."""
+        dets = {}
+        for index in combinations(range(self.m), self.dim):
+            d = _index_det(self.exps, index)
+            if d != 0:
+                dets[index] = d
+        return dets
 
 
 def check_weight(seq, p):
@@ -187,20 +206,39 @@ def _index_det(points, index):
     return det([list(points[i]) for i in index])
 
 
+def _alpha(points, index):
+    """Coordinatewise sum of the points at the positions in index."""
+    return tuple(map(sum, zip(*(points[i] for i in index))))
+
+
+class _Weighted:
+    """One weighted sequence: the checked weight, the scaled points,
+    their Newton polyhedron, the essential indices (mapped to their
+    witnessing facets, in lexicographic order) and the essential indices
+    on each facet that carries one (in facet order)."""
+
+    def __init__(self, seq, p):
+        self.seq = seq
+        self.p = check_weight(seq, p)
+        self.pts = scaled_points(seq, self.p)
+        self.poly = newton_polyhedron(self.pts, seq.dim)
+        on = [(f, set(f.on_facet)) for f in self.poly.facets]
+        members = {f: [] for f in self.poly.facets}
+        self.essentials = {}
+        for index in seq._nonsingular:
+            wits = [f for f, points in on if points.issuperset(index)]
+            if wits:
+                self.essentials[index] = wits
+                for f in wits:
+                    members[f].append(index)
+        self.members = {f: idx for f, idx in members.items() if idx}
+
+
 def p_essential_indices(seq, p):
     """All n-subsets whose scaled points share a compact facet and whose
-    unscaled exponent matrix is nonsingular, with the witnessing facets."""
-    p = check_weight(seq, p)
-    pts = scaled_points(seq, p)
-    poly = newton_polyhedron(pts, seq.dim)
-    out = []
-    for index in combinations(range(seq.m), seq.dim):
-        if _index_det(seq.exps, index) == 0:
-            continue
-        wits = [f for f in poly.facets if set(index) <= set(f.on_facet)]
-        if wits:
-            out.append((index, wits))
-    return out
+    unscaled exponent matrix is nonsingular, with the witnessing facets.
+    The nonsingular subsets are computed once per sequence."""
+    return list(_Weighted(seq, p).essentials.items())
 
 
 def _sign(x):
@@ -241,36 +279,27 @@ def residue_current(seq, p):
     unscaled determinant, the unscaled exponent alpha, and the
     coefficient status.
     """
-    p = check_weight(seq, p)
-    pts = scaled_points(seq, p)
-    poly = newton_polyhedron(pts, seq.dim)
-    n = seq.dim
+    return _residue_current(_Weighted(seq, p))
 
-    essentials = {}
-    per_facet = {}
-    for index, wits in p_essential_indices(seq, p):
-        essentials[index] = wits
-        for f in wits:
-            per_facet.setdefault((f.normal, f.level), []).append(index)
 
+def _residue_current(w):
+    seq, n = w.seq, w.seq.dim
     entries = []
     for index in combinations(range(seq.m), n):
-        alpha = tuple(sum(seq.exps[i][j] for i in index) for j in range(n))
-        d = _index_det(seq.exps, index)
+        alpha = _alpha(seq.exps, index)
+        d = seq._nonsingular.get(index, 0)
         if d == 0:
             entries.append(CurrentEntry(index, True, "zero determinant", None, alpha, None, ()))
             continue
-        wits = essentials.get(index)
+        wits = w.essentials.get(index)
         if not wits:
             entries.append(CurrentEntry(index, True, "not on a common facet", None, alpha, None, ()))
             continue
-        unique_everywhere = all(
-            len(per_facet[(f.normal, f.level)]) == 1 for f in wits
-        )
+        unique_everywhere = all(len(w.members[f]) == 1 for f in wits)
         known = unique_everywhere and (
             n <= 2
             or all(
-                len(f.on_facet) == n and _diagonalizable_chart(_chart_coordinates(f, pts))
+                len(f.on_facet) == n and _diagonalizable_chart(_chart_coordinates(f, w.pts))
                 for f in wits
             )
         )
@@ -281,7 +310,7 @@ def residue_current(seq, p):
         entries.append(
             CurrentEntry(index, False, None, _sign(d), alpha, coeff, tuple(f.normal for f in wits))
         )
-    return ResidueCurrent(seq=seq, weight=p, entries=tuple(entries), scaled_np=poly)
+    return ResidueCurrent(seq=seq, weight=w.p, entries=tuple(entries), scaled_np=w.poly)
 
 
 def _pure_power_ideal(dim, alpha):
@@ -292,13 +321,15 @@ def _pure_power_ideal(dim, alpha):
 def annihilator(seq, p):
     """Intersection over essential indices of the pure-power ideals with
     exponents alpha = sum of the unscaled a^j."""
-    ess = p_essential_indices(seq, p)
-    if not ess:
+    return _annihilator(_Weighted(seq, p))
+
+
+def _annihilator(w):
+    if not w.essentials:
         raise ValueError("no essential multi-index; invalid input")
     out = None
-    for index, _ in ess:
-        alpha = tuple(sum(seq.exps[i][j] for i in index) for j in range(seq.dim))
-        piece = _pure_power_ideal(seq.dim, alpha)
+    for index in w.essentials:
+        piece = _pure_power_ideal(w.seq.dim, _alpha(w.seq.exps, index))
         out = piece if out is None else out.intersect(piece)
     return out
 
@@ -312,21 +343,16 @@ def coffe_constraints(seq, p):
     unscaled volume of the facet's vertex positions when that makes
     sense (two variables).
     """
-    p = check_weight(seq, p)
-    pts = scaled_points(seq, p)
-    poly = newton_polyhedron(pts, seq.dim)
-    ess = p_essential_indices(seq, p)
+    return _coffe_constraints(_Weighted(seq, p))
+
+
+def _coffe_constraints(w):
+    seq, pts = w.seq, w.pts
     relations = []
-    for f in poly.facets:
-        members = [
-            index for index, wits in ess
-            if any(w.normal == f.normal and w.level == f.level for w in wits)
-        ]
-        if not members:
-            continue
+    for f, members in w.members.items():
         scaled = tuple(abs(_index_det(pts, i)) for i in members)
-        unscaled = tuple(abs(_index_det(seq.exps, i)) for i in members)
-        rhs = facet_det(poly, f)
+        unscaled = tuple(abs(seq._nonsingular[i]) for i in members)
+        rhs = facet_det(w.poly, f)
         unscaled_rhs = None
         if seq.dim <= 2:
             vert_pts = []
@@ -397,10 +423,10 @@ def multiplicity_ep(seq, p, numeric=None):
     dimension an undetermined system is returned as-is). An optional
     mapping index -> numeric coefficient adds a float estimate.
     """
-    cur = residue_current(seq, p)
-    ess = cur.nonvanishing()
-    weights = {e.index: abs(_index_det(seq.exps, e.index)) for e in ess}
-    constraints = tuple(coffe_constraints(seq, p))
+    w = _Weighted(seq, p)
+    ess = _residue_current(w).nonvanishing()
+    weights = {e.index: abs(seq._nonsingular[e.index]) for e in ess}
+    constraints = tuple(_coffe_constraints(w))
 
     exact = None
     method = None
@@ -424,12 +450,12 @@ def multiplicity_ep(seq, p, numeric=None):
             estimate = 0.0
             abs_error = 0.0
             for e in ess:
-                w = weights[e.index]
+                d = weights[e.index]
                 if e.coeff.kind == "known":
-                    estimate += w
+                    estimate += d
                 else:
-                    estimate += w * numeric[e.index].estimate
-                    abs_error += w * numeric[e.index].abs_error
+                    estimate += d * numeric[e.index].estimate
+                    abs_error += d * numeric[e.index].abs_error
     return Multiplicity(
         exact=exact, method=method, constraints=constraints,
         estimate=estimate, abs_error=abs_error,
@@ -456,18 +482,15 @@ def theorem_a_report(seq, p):
     """left = intersection over essential I of
     closure((scaled ideal)^n) : z^{sum (p_j - 1) a^j}, compared with the
     annihilator and the ideal generated by the sequence."""
-    p = check_weight(seq, p)
+    w = _Weighted(seq, p)
     n = seq.dim
-    pts = scaled_points(seq, p)
-    base = MonomialIdeal.from_gens(n, pts).power(n).integral_closure()
+    base = MonomialIdeal.from_gens(n, w.pts).power(n).integral_closure()
     left = None
-    for index, _ in p_essential_indices(seq, p):
-        shift = tuple(
-            sum((p[i] - 1) * seq.exps[i][j] for i in index) for j in range(n)
-        )
+    for index in w.essentials:
+        shift = vsub(_alpha(w.pts, index), _alpha(seq.exps, index))
         piece = base.colon(shift)
         left = piece if left is None else left.intersect(piece)
-    ann = annihilator(seq, p)
+    ann = _annihilator(w)
     right = seq.ideal
     right_equality = ann == right
     ci = len(right.gens) == n
@@ -506,9 +529,7 @@ def ann_independent_of_p(seq):
     """The annihilator is weight-independent exactly when every
     nondegenerate n-subset already generates the full ideal."""
     full = seq.ideal
-    for index in combinations(range(seq.m), seq.dim):
-        if _index_det(seq.exps, index) == 0:
-            continue
+    for index in seq._nonsingular:
         sub = MonomialIdeal.from_gens(seq.dim, [seq.exps[i] for i in index])
         if sub != full:
             return False

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .newton import NotCofiniteError, minimal_points, newton_polyhedron
+from .newton import _missing_pure_power, minimal_points, newton_polyhedron
 
 
 def _divides(g, x):
@@ -71,12 +71,7 @@ class MonomialIdeal:
 
     def is_cofinite(self):
         """True when some generator is a pure power of each variable."""
-        for axis in range(self.dim):
-            if not any(
-                all(a == 0 for i, a in enumerate(g) if i != axis) for g in self.gens
-            ):
-                return False
-        return True
+        return _missing_pure_power(self.gens, self.dim) is None
 
     def intersect(self, other):
         if self.dim != other.dim:
@@ -124,12 +119,8 @@ class MonomialIdeal:
 
         Minimal lattice points of the polyhedron; only supported for
         cofinite ideals (the polyhedron is described by compact facets
-        then).
+        then); newton_polyhedron raises NotCofiniteError otherwise.
         """
-        if not self.is_cofinite():
-            raise NotCofiniteError(
-                "integral closure is only supported for cofinite ideals"
-            )
         poly = self.newton_polyhedron()
         return MonomialIdeal.from_gens(self.dim, minimal_points(poly))
 

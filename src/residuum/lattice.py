@@ -17,16 +17,8 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(k, v):
-    return tuple(k * a for a in v)
 
 
 def content(v):

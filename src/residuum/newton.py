@@ -60,17 +60,13 @@ class NewtonPolyhedron:
         return best
 
 
-def _support(v):
-    return tuple(i for i, a in enumerate(v) if a != 0)
-
-
-def _check_cofinite(points, dim):
+def _missing_pure_power(points, dim):
+    """The first axis with no pure power (or zero) among the points,
+    or None when the set is cofinite."""
     for axis in range(dim):
-        if not any(set(_support(p)) <= {axis} for p in points):
-            raise NotCofiniteError(
-                f"no generator is a pure power of variable {axis + 1}: "
-                "the zero set V(z^S) is not the origin alone"
-            )
+        if not any(all(a == 0 for i, a in enumerate(p) if i != axis) for p in points):
+            return axis
+    return None
 
 
 def newton_polyhedron(points, dim=None):
@@ -92,7 +88,12 @@ def newton_polyhedron(points, dim=None):
             raise ValueError("points of mixed dimension")
         if any(a < 0 or not isinstance(a, int) for a in p):
             raise ValueError("exponents must be nonnegative integers")
-    _check_cofinite(points, dim)
+    axis = _missing_pure_power(points, dim)
+    if axis is not None:
+        raise NotCofiniteError(
+            f"no generator is a pure power of variable {axis + 1}: "
+            "the zero set V(z^S) is not the origin alone"
+        )
 
     distinct = sorted(set(points))
     if (0,) * dim in distinct:

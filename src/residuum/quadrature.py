@@ -40,14 +40,12 @@ import numpy.polynomial.legendre as _legendre
 
 from .currents import (
     _chart_coordinates,
+    _coffe_constraints,
     _diagonalizable_chart,
+    _Weighted,
     check_weight,
-    coffe_constraints,
-    p_essential_indices,
-    scaled_points,
 )
 from .lattice import det, dot, unimodular_complement
-from .newton import newton_polyhedron
 
 
 @lru_cache(maxsize=None)
@@ -210,18 +208,16 @@ def numeric_coefficients(seq, p, target=1e-10, max_cells=2048):
     """
     if seq.dim != 2:
         raise ValueError("numeric coefficients are implemented for two variables")
-    p = check_weight(seq, p)
-    pts = scaled_points(seq, p)
+    return _numeric_coefficients(_Weighted(seq, p), target, max_cells)
+
+
+def _numeric_coefficients(w, target, max_cells):
+    charts = {f: chart_exponents(f, w.pts) for f in w.members}
     out = {}
-    charts = {}
-    for index, wits in p_essential_indices(seq, p):
+    for index, wits in w.essentials.items():
         facet = wits[0]
-        key = (facet.normal, facet.level)
-        if key not in charts:
-            charts[key] = chart_exponents(facet, pts)
-        ce = charts[key]
         slots = tuple(facet.on_facet.index(i) for i in index)
-        nc = coefficient_integral(ce, slots, target=target, max_cells=max_cells)
+        nc = coefficient_integral(charts[facet], slots, target=target, max_cells=max_cells)
         out[index] = replace(nc, index=index)
     return out
 
@@ -253,19 +249,20 @@ def validate_coffe_numeric(seq, p, experimental_n3=False, target=1e-10, max_cell
     looser tolerance, and the report only states residuals.
     """
     p = check_weight(seq, p)
-    if seq.dim == 2:
-        coeffs = numeric_coefficients(seq, p, target=target, max_cells=max_cells)
-    elif seq.dim == 3:
-        if not experimental_n3:
-            raise ValueError(
-                "three-variable validation is experimental; pass experimental_n3=True"
-            )
-        coeffs = _numeric_coefficients_3d(seq, p, max_cells=max_cells)
-    else:
+    if seq.dim == 3 and not experimental_n3:
+        raise ValueError(
+            "three-variable validation is experimental; pass experimental_n3=True"
+        )
+    if seq.dim not in (2, 3):
         raise ValueError("validation supports two (exact) or three (experimental) variables")
+    w = _Weighted(seq, p)
+    if seq.dim == 2:
+        coeffs = _numeric_coefficients(w, target, max_cells)
+    else:
+        coeffs = _numeric_coefficients_3d(w, max_cells)
 
     facets = []
-    for rel in coffe_constraints(seq, p):
+    for rel in _coffe_constraints(w):
         ests = tuple((idx, coeffs[idx]) for idx in rel.indices)
         total = fsum(d * nc.estimate for d, (_, nc) in zip(rel.scaled_dets, ests))
         bound = fsum(d * nc.abs_error for d, (_, nc) in zip(rel.scaled_dets, ests))
@@ -385,17 +382,12 @@ def _chart_columns_3d(facet, pts):
     return [tuple(c[j] - mins[j] for j in range(2)) for c in cols]
 
 
-def _numeric_coefficients_3d(seq, p, max_cells=640):
-    pts = scaled_points(seq, p)
-    poly = newton_polyhedron(pts, seq.dim)
+def _numeric_coefficients_3d(w, max_cells):
+    charts = {f: _chart_columns_3d(f, w.pts) for f in w.members}
     out = {}
-    charts = {}
-    for index, wits in p_essential_indices(seq, p):
+    for index, wits in w.essentials.items():
         facet = wits[0]
-        key = (facet.normal, facet.level)
-        if key not in charts:
-            charts[key] = _chart_columns_3d(facet, pts)
-        cols = charts[key]
+        cols = charts[facet]
         slots = tuple(facet.on_facet.index(i) for i in index)
         if not _diagonalizable_chart([cols[k] for k in slots]):
             raise ValueError(
