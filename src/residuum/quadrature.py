@@ -19,14 +19,23 @@ area form yields the reference identity
 
     int_{R^2} |s|^(2(N-1)) / (1 + |s|^(2N))^p dA = pi / ((p - 1) N),
 
-used as the module's self-check. The half line is split at r = 1 and
-the tail mapped back to (0, 1] by r -> 1/u, which stays inside the
-same integrand family (c -> cmax - c, s -> E*cmax - s, with E the
-denominator exponent, equal to the ambient dimension).
+used as the module's self-check. On the experimental three-variable
+path the integral runs over the quadrant (0, inf)^2 instead, with two
+chart coordinates per facet point.
 
-Quadrature is an adaptive Gauss-Legendre pair (10/21 nodes) with an
-explicit cell budget; cell contributions are reduced with math.fsum,
-so the result does not depend on evaluation order.
+Every such integral is over an orthant (0, inf)^d, d = 1 or 2. Each
+axis is split at r = 1 and the tail mapped back to (0, 1] by
+r -> 1/u, which stays inside the same integrand family (on that axis
+c -> cmax - c and s -> E*cmax - s, with E the denominator exponent),
+so one reflection per axis turns the orthant into 2^d unit boxes.
+
+A box, a segment or a square, is integrated by one adaptive
+integrator. Each cell is estimated with a Gauss-Legendre pair (10/21
+nodes on a segment, the 6/12 product rule on a square), and the cell
+with the largest pair discrepancy is halved across its longest side
+until the summed discrepancy is below the target or an explicit cell
+budget runs out. Cell contributions are reduced with math.fsum, so
+the result does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import fsum, pi
+from itertools import product, starmap
+from math import fsum, pi, prod
+from operator import mul
 
 import numpy.polynomial.legendre as _legendre
 
@@ -48,82 +59,130 @@ from .currents import (
 from .lattice import det, dot, unimodular_complement
 
 
+# Gauss-Legendre orders (lower, higher) of the cell rule, by box dimension.
+_RULE_ORDERS = {1: (10, 21), 2: (6, 12)}
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(k):
     nodes, weights = _legendre.leggauss(k)
     return tuple(float(x) for x in nodes), tuple(float(w) for w in weights)
 
 
-def _cell_estimate(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    lo_nodes, lo_weights = _gauss_rule(10)
-    hi_nodes, hi_weights = _gauss_rule(21)
-    lo = half * fsum(w * f(mid + half * x) for x, w in zip(lo_nodes, lo_weights))
-    hi = half * fsum(w * f(mid + half * x) for x, w in zip(hi_nodes, hi_weights))
+@lru_cache(maxsize=None)
+def _product_weights(k, d):
+    return tuple(prod(ws) for ws in product(_gauss_rule(k)[1], repeat=d))
+
+
+def _cell_estimate(f, box):
+    """(higher-order value, pair discrepancy) of f over one box."""
+    mids = [0.5 * (a + b) for a, b in zip(box[::2], box[1::2])]
+    halves = [0.5 * (b - a) for a, b in zip(box[::2], box[1::2])]
+    volume = prod(halves)
+    estimates = []
+    for k in _RULE_ORDERS[len(mids)]:
+        nodes = _gauss_rule(k)[0]
+        points = product(*[[m + h * x for x in nodes] for m, h in zip(mids, halves)])
+        weights = _product_weights(k, len(mids))
+        estimates.append(volume * fsum(map(mul, weights, starmap(f, points))))
+    lo, hi = estimates
     return hi, abs(hi - lo)
 
 
 def integrate_adaptive(f, a, b, target=1e-12, max_cells=512):
-    """(value, error estimate, cells used) for int_a^b f.
+    """(value, error estimate, cells used) for the integral of f over
+    the box from corner a to corner b.
 
-    Splits the worst cell (largest pair discrepancy) until the summed
-    error estimate is below target or the cell budget is exhausted.
-    Deterministic: ties in the worst-cell choice break on the left
-    endpoint and the final reduction is an fsum over cells.
+    Floats a, b mean one variable; otherwise a and b are tuples, one
+    entry per axis, and f takes one argument per axis. Splits the
+    worst cell (largest pair discrepancy) in half across its longest
+    side, the first such axis on a tie, until the summed error
+    estimate is below target or the cell budget is exhausted.
+    Deterministic: ties in the worst-cell choice break on the cell's
+    bounds (a1, b1, a2, b2, ...) in that order, and the final
+    reduction is an fsum over cells.
     """
-    hi, err = _cell_estimate(f, a, b)
-    heap = [(-err, a, b, hi)]
+    if isinstance(a, (int, float)):
+        a, b = (a,), (b,)
+    box = tuple(x for bounds in zip(a, b) for x in bounds)
+    hi, err = _cell_estimate(f, box)
+    heap = [(-err, box, hi)]
     total_err = err
     cells = 1
     while total_err > target and cells < max_cells:
-        neg, ca, cb, _ = heapq.heappop(heap)
+        neg, box, hi = heapq.heappop(heap)
         worst = -neg
         if worst == 0.0:
-            heapq.heappush(heap, (neg, ca, cb, _))
+            heapq.heappush(heap, (neg, box, hi))
             break
-        mid = 0.5 * (ca + cb)
-        h1, e1 = _cell_estimate(f, ca, mid)
-        h2, e2 = _cell_estimate(f, mid, cb)
-        heapq.heappush(heap, (-e1, ca, mid, h1))
-        heapq.heappush(heap, (-e2, mid, cb, h2))
+        widths = [b - a for a, b in zip(box[::2], box[1::2])]
+        i = 2 * widths.index(max(widths))
+        mid = 0.5 * (box[i] + box[i + 1])
+        left = box[:i] + (box[i], mid) + box[i + 2:]
+        right = box[:i] + (mid, box[i + 1]) + box[i + 2:]
+        h1, e1 = _cell_estimate(f, left)
+        h2, e2 = _cell_estimate(f, right)
+        heapq.heappush(heap, (-e1, left, h1))
+        heapq.heappush(heap, (-e2, right, h2))
         total_err += e1 + e2 - worst
         cells += 1
-    ordered = sorted(heap, key=lambda c: c[1])
-    value = fsum(c[3] for c in ordered)
-    err = fsum(-c[0] for c in ordered)
+    value = fsum(c[2] for c in heap)
+    err = fsum(-c[0] for c in heap)
     return value, err, cells
 
 
 @dataclass(frozen=True)
 class _Radial:
-    """r^(2s-1) / (sum_k r^(2 c_k))^exponent on (0, 1]."""
+    """prod_j r_j^(2 s_j - 1) / (sum_k prod_j r_j^(2 cols[k][j]))^exponent
+    on the unit box, one variable r_j per entry of s and one column
+    per facet point. Called with one variable; _Radial2 takes two."""
 
-    s: int
-    cs: tuple
+    s: tuple
+    cols: tuple
     exponent: int
 
     def __call__(self, r):
         den = 0.0
-        for c in self.cs:
+        for (c,) in self.cols:
             den += r ** (2 * c)
-        return r ** (2 * self.s - 1) / den ** self.exponent
+        return r ** (2 * self.s[0] - 1) / den ** self.exponent
 
-    def tail(self):
-        cmax = max(self.cs)
-        return _Radial(
-            s=self.exponent * cmax - self.s,
-            cs=tuple(cmax - c for c in self.cs),
-            exponent=self.exponent,
+    def tail(self, axis):
+        """The part beyond 1 on one axis, mapped back by r -> 1/u."""
+        cmax = max(c[axis] for c in self.cols)
+        cols = tuple(c[:axis] + (cmax - c[axis],) + c[axis + 1:] for c in self.cols)
+        s = self.s[:axis] + (self.exponent * cmax - self.s[axis],) + self.s[axis + 1:]
+        return replace(self, s=s, cols=cols)
+
+
+class _Radial2(_Radial):
+    def __call__(self, r1, r2):
+        den = 0.0
+        for c1, c2 in self.cols:
+            den += r1 ** (2 * c1) * r2 ** (2 * c2)
+        return (
+            r1 ** (2 * self.s[0] - 1)
+            * r2 ** (2 * self.s[1] - 1)
+            / den ** self.exponent
         )
 
 
-def _half_line(radial, target, max_cells):
-    budget = max(max_cells // 2, 4)
-    v1, e1, n1 = integrate_adaptive(radial, 0.0, 1.0, target / 2, budget)
-    tail = radial.tail()
-    v2, e2, n2 = integrate_adaptive(tail, 0.0, 1.0, target / 2, budget)
-    return v1 + v2, e1 + e2, n1 + n2
+def _orthant_sum(radial, target, max_cells):
+    """(value, error, cells) over (0, inf)^d: 2^d unit-box pieces, one
+    reflection per axis, sharing the target and the cell budget."""
+    d = len(radial.s)
+    pieces = [radial]
+    for axis in range(d):
+        pieces += [piece.tail(axis) for piece in pieces]
+    budget = max(max_cells // 2**d, 4 * d)
+    value = err = 0.0
+    cells = 0
+    for piece in pieces:
+        v, e, c = integrate_adaptive(piece, (0.0,) * d, (1.0,) * d, target / 2**d, budget)
+        value += v
+        err += e
+        cells += c
+    return value, err, cells
 
 
 def radial_power_integral(N, p, target=1e-13, max_cells=512):
@@ -134,7 +193,8 @@ def radial_power_integral(N, p, target=1e-13, max_cells=512):
     """
     if N < 1 or p < 2:
         raise ValueError("need N >= 1 and p >= 2 for convergence")
-    value, err, cells = _half_line(_Radial(s=N, cs=(0, N), exponent=p), target, max_cells)
+    radial = _Radial(s=(N,), cols=((0,), (N,)), exponent=p)
+    value, err, cells = _orthant_sum(radial, target, max_cells)
     return 2 * pi * value, 2 * pi * err, cells
 
 
@@ -160,15 +220,13 @@ class NumericCoefficient:
     cells: int
 
 
-def chart_exponents(facet, pts, dim=2):
+def chart_exponents(facet, pts):
     """Chart exponents of a 2-variable facet from the scaled points.
 
     The transverse coordinate is the unimodular complement of the
     facet normal; dotting it with the point differences measures
     lattice positions along the segment.
     """
-    if dim != 2:
-        raise ValueError("chart exponents are implemented for two variables")
     for i in facet.on_facet:
         if dot(facet.normal, pts[i]) != facet.level:
             raise ValueError("point not on the facet")
@@ -194,7 +252,8 @@ def coefficient_integral(ce, pair, target=1e-10, max_cells=2048):
     s = ca + cb
     scale = 2 * abs(ca - cb)
     inner_target = target / scale
-    value, err, cells = _half_line(_Radial(s=s, cs=ce.c, exponent=2), inner_target, max_cells)
+    radial = _Radial(s=(s,), cols=tuple((c,) for c in ce.c), exponent=2)
+    value, err, cells = _orthant_sum(radial, inner_target, max_cells)
     return NumericCoefficient(
         index=(k1, k2), estimate=scale * value, abs_error=scale * err, cells=cells
     )
@@ -280,102 +339,6 @@ def validate_coffe_numeric(seq, p, experimental_n3=False, target=1e-10, max_cell
 # --- experimental three-variable path ---------------------------------
 
 
-@dataclass(frozen=True)
-class _Radial2:
-    """r1^(2 s1 - 1) r2^(2 s2 - 1) / (sum_k r1^(2 c1k) r2^(2 c2k))^exponent."""
-
-    s: tuple
-    cols: tuple
-    exponent: int
-
-    def __call__(self, r1, r2):
-        den = 0.0
-        for c1, c2 in self.cols:
-            den += r1 ** (2 * c1) * r2 ** (2 * c2)
-        return (
-            r1 ** (2 * self.s[0] - 1)
-            * r2 ** (2 * self.s[1] - 1)
-            / den ** self.exponent
-        )
-
-    def tail(self, axis):
-        cmax = max(c[axis] for c in self.cols)
-        cols = tuple(
-            tuple(cmax - c[j] if j == axis else c[j] for j in range(2))
-            for c in self.cols
-        )
-        s = tuple(
-            self.exponent * cmax - self.s[j] if j == axis else self.s[j]
-            for j in range(2)
-        )
-        return _Radial2(s=s, cols=cols, exponent=self.exponent)
-
-
-def _cell_estimate_2d(f, box):
-    a1, b1, a2, b2 = box
-    m1, h1 = 0.5 * (a1 + b1), 0.5 * (b1 - a1)
-    m2, h2 = 0.5 * (a2 + b2), 0.5 * (b2 - a2)
-    out = []
-    for k in (6, 12):
-        nodes, weights = _gauss_rule(k)
-        acc = fsum(
-            w1 * w2 * f(m1 + h1 * x1, m2 + h2 * x2)
-            for x1, w1 in zip(nodes, weights)
-            for x2, w2 in zip(nodes, weights)
-        )
-        out.append(h1 * h2 * acc)
-    return out[1], abs(out[1] - out[0])
-
-
-def _integrate_2d(f, target=1e-8, max_cells=160):
-    box = (0.0, 1.0, 0.0, 1.0)
-    hi, err = _cell_estimate_2d(f, box)
-    heap = [(-err, box, hi)]
-    total = err
-    cells = 1
-    while total > target and cells < max_cells:
-        neg, box, _ = heapq.heappop(heap)
-        worst = -neg
-        if worst == 0.0:
-            heapq.heappush(heap, (neg, box, _))
-            break
-        a1, b1, a2, b2 = box
-        if b1 - a1 >= b2 - a2:
-            mid = 0.5 * (a1 + b1)
-            children = [(a1, mid, a2, b2), (mid, b1, a2, b2)]
-        else:
-            mid = 0.5 * (a2 + b2)
-            children = [(a1, b1, a2, mid), (a1, b1, mid, b2)]
-        for child in children:
-            h, e = _cell_estimate_2d(f, child)
-            heapq.heappush(heap, (-e, child, h))
-            total += e
-        total -= worst
-        cells += 1
-    ordered = sorted(heap, key=lambda c: c[1])
-    value = fsum(c[2] for c in ordered)
-    err = fsum(-c[0] for c in ordered)
-    return value, err, cells
-
-
-def _quadrant_sum(radial2, target, max_cells):
-    budget = max(max_cells // 4, 8)
-    pieces = [
-        radial2,
-        radial2.tail(0),
-        radial2.tail(1),
-        radial2.tail(0).tail(1),
-    ]
-    value = err = 0.0
-    cells = 0
-    for piece in pieces:
-        v, e, c = _integrate_2d(piece, target / 4, budget)
-        value += v
-        err += e
-        cells += c
-    return value, err, cells
-
-
 def _chart_columns_3d(facet, pts):
     cols = _chart_coordinates(facet, pts)
     mins = [min(c[j] for c in cols) for j in range(2)]
@@ -396,8 +359,8 @@ def _numeric_coefficients_3d(w, max_cells):
         s = tuple(sum(cols[k][j] for k in slots) for j in range(2))
         dmat = [[cols[k][j] for k in slots] for j in range(2)] + [[1, 1, 1]]
         dd = abs(det(dmat))
-        radial2 = _Radial2(s=s, cols=tuple(cols), exponent=3)
-        value, err, cells = _quadrant_sum(radial2, target=1e-7, max_cells=max_cells)
+        radial = _Radial2(s=s, cols=tuple(cols), exponent=3)
+        value, err, cells = _orthant_sum(radial, target=1e-7, max_cells=max_cells)
         out[index] = NumericCoefficient(
             index=index, estimate=8 * dd * value, abs_error=8 * dd * err, cells=cells
         )

@@ -66,6 +66,14 @@ def test_chart_lattice_length_random_axis_pairs():
         assert sorted(ce.c) == [0, math.gcd(a, b)]
 
 
+
+def test_chart_exponents_rejects_three_variable_facet():
+    from residuum.newton import newton_polyhedron
+
+    poly = newton_polyhedron([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)], 3)
+    with pytest.raises(ValueError):
+        chart_exponents(poly.facets[0], poly.points)
+
 def test_konf_coefficients(ex54):
     nc = numeric_coefficients(ex54, (1, 1, 1))
     c12 = nc[(0, 1)].estimate
@@ -98,6 +106,29 @@ def test_budget_refines_error():
     value_small, _, _ = integrate_adaptive(f, 0.0, 1.0, target=0.0, max_cells=4)
     assert abs(value_big - value_small) <= err_small + err_big
 
+
+
+def test_budget_refines_error_on_square():
+    # the same budget properties on a two-variable box
+    f = lambda x, y: x ** 9 * y / (1 + x ** 2 + x ** 10 * y ** 2) ** 2
+    a, b = (0.0, 0.0), (1.0, 1.0)
+    value_small, err_small, cells_small = integrate_adaptive(f, a, b, target=0.0, max_cells=4)
+    value_big, err_big, cells_big = integrate_adaptive(f, a, b, target=0.0, max_cells=16)
+    assert cells_big > cells_small
+    assert err_big < err_small
+    assert abs(value_big - value_small) <= err_small + err_big
+
+
+def test_square_exact_values():
+    a, b = (0.0, 0.0), (1.0, 1.0)
+    cases = (
+        (lambda x, y: 1 / ((1 + x) * (1 + y)), math.log(2) ** 2),
+        # degree 11 per axis: exact for the 6-node rule of the pair
+        (lambda x, y: x ** 11 * y ** 11, 1 / 144),
+    )
+    for f, exact in cases:
+        value, err, _ = integrate_adaptive(f, a, b)
+        assert abs(value - exact) <= err + 4 * math.ulp(exact)
 
 def test_validate_coffe_residuals(ex54, ex41):
     v = validate_coffe_numeric(ex54, (1, 1, 1))
