@@ -42,7 +42,7 @@ from .lattice import (
     unimodular_completion,
     vsub,
 )
-from .newton import facet_det, newton_polyhedron
+from .newton import facet_det, minimal_points, newton_polyhedron
 
 
 class SweepRefusedError(ValueError):
@@ -479,18 +479,18 @@ class TheoremAReport:
 
 
 def theorem_a_report(seq, p):
-    """left = intersection over essential I of
-    closure((scaled ideal)^n) : z^{sum (p_j - 1) a^j}, compared with the
-    annihilator and the ideal generated by the sequence."""
+    """left = intersection over essential I of closure(J^n) : z^{s_I},
+    J the scaled ideal and s_I = sum over I of (p_j - 1) a^j, compared
+    with the annihilator and the ideal generated by the sequence.
+    NP(J^n) = n NP(J) and every s_I >= 0, so left is cut out by x >= 0
+    and each compact facet (nu, l) of NP(J) at level max_I (n l - nu . s_I).
+    """
     w = _Weighted(seq, p)
     n = seq.dim
-    base = MonomialIdeal.from_gens(n, w.pts).power(n).integral_closure()
-    left = None
-    for index in w.essentials:
-        shift = vsub(_alpha(w.pts, index), _alpha(seq.exps, index))
-        piece = base.colon(shift)
-        left = piece if left is None else left.intersect(piece)
     ann = _annihilator(w)
+    shifts = [vsub(_alpha(w.pts, index), _alpha(seq.exps, index)) for index in w.essentials]
+    levels = [(f.normal, max(n * f.level - dot(f.normal, s) for s in shifts)) for f in w.poly.facets]
+    left = MonomialIdeal.from_gens(n, minimal_points(levels, n))
     right = seq.ideal
     right_equality = ann == right
     ci = len(right.gens) == n

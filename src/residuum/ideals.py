@@ -121,6 +121,6 @@ class MonomialIdeal:
         cofinite ideals (the polyhedron is described by compact facets
         then); newton_polyhedron raises NotCofiniteError otherwise.
         """
-        poly = self.newton_polyhedron()
-        return MonomialIdeal.from_gens(self.dim, minimal_points(poly))
+        pairs = [(f.normal, f.level) for f in self.newton_polyhedron().facets]
+        return MonomialIdeal.from_gens(self.dim, minimal_points(pairs, self.dim))
 

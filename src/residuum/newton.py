@@ -289,24 +289,24 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def minimal_points(poly):
-    """Divisibility-minimal lattice points of the polyhedron.
+def minimal_points(inequalities, dim):
+    """Divisibility-minimal lattice points of {x >= 0 : normal . x >= level
+    for each (normal, level) in the list inequalities}, normals all > 0.
 
-    Every minimal point lives in the box bounded by the largest vertex
-    coordinate; for each prefix of n-1 coordinates the least feasible
-    last coordinate is the only candidate.
+    A unit step down axis i keeps every inequality where x_i exceeds
+    B_i = max ceil(level / normal_i), so minimal points lie in [0, B] (the
+    origin alone when no level is positive); for each prefix of n-1
+    coordinates the least feasible last coordinate is the only candidate.
     """
-    n = poly.dim
-    bound = poly.max_vertex_coordinate()
+    bounds = [max([0] + [_ceil_div(lv, nu[i]) for nu, lv in inequalities]) for i in range(dim)]
     candidates = []
-    for prefix in product(range(bound + 1), repeat=n - 1):
+    for prefix in product(*(range(b + 1) for b in bounds[:-1])):
         low = 0
-        for f in poly.facets:
-            rest = f.level - dot(f.normal[:-1], prefix)
+        for normal, level in inequalities:
+            rest = level - dot(normal[:-1], prefix)
             if rest > 0:
-                low = max(low, _ceil_div(rest, f.normal[-1]))
-        if low <= bound:
-            candidates.append(prefix + (low,))
+                low = max(low, _ceil_div(rest, normal[-1]))
+        candidates.append(prefix + (low,))
     minimal = []
     for c in sorted(candidates, key=lambda v: (sum(v), v)):
         if not any(all(g <= x for g, x in zip(kept, c)) for kept in minimal):

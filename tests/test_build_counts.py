@@ -5,6 +5,7 @@ unscaled n-subset determinants once for the whole sweep."""
 import pytest
 
 import residuum.currents as currents
+import residuum.ideals as ideals
 import residuum.quadrature as quadrature
 from residuum.currents import (
     MonomialSeq,
@@ -26,15 +27,15 @@ W3 = (2, 2, 2, 1)
 
 @pytest.fixture
 def hull_builds(monkeypatch):
-    """The point sets passed to newton_polyhedron by currents and
-    quadrature during the test."""
+    """The point sets passed to newton_polyhedron by currents, ideals
+    and quadrature during the test."""
     built = []
 
     def counting(points, dim=None):
         built.append(tuple(tuple(x) for x in points))
         return newton_polyhedron(points, dim)
 
-    for module in (currents, quadrature):
+    for module in (currents, ideals, quadrature):
         monkeypatch.setattr(module, "newton_polyhedron", counting, raising=False)
     return built
 
@@ -50,7 +51,7 @@ def test_one_hull_per_call(fn, ex41, ex41_weights, hull_builds):
 
 def test_theorem_a_builds_the_scaled_hull_once(hull_builds):
     theorem_a_report(SEQ3, W3)
-    assert hull_builds.count(scaled_points(SEQ3, W3)) == 1
+    assert hull_builds == [scaled_points(SEQ3, W3)]  # and no hull of J^n
 
 
 def test_validation_builds_one_hull_2d(ex41, ex41_weights, hull_builds):

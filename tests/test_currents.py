@@ -1,7 +1,9 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residuum.currents import (
     MonomialSeq,
@@ -22,7 +24,14 @@ from residuum.currents import (
 from residuum.ideals import MonomialIdeal
 from residuum.newton import complement_volume, newton_polyhedron
 
-from oracles import det_permutation, essential_oracle, random_cofinite_gens, random_weight
+from oracles import (
+    det_permutation,
+    essential_oracle,
+    minimalize_simple,
+    orthant_hull_member,
+    random_cofinite_gens,
+    random_weight,
+)
 
 
 def ess_set(seq, w):
@@ -169,6 +178,83 @@ def test_closure_of_square_inside_weighted_annihilator(ex41):
     clo = ex41.ideal.power(2).integral_closure()
     assert clo.gens == ((0, 6), (2, 5), (4, 4), (5, 3), (7, 2), (9, 1), (10, 0))
     assert clo.issubset(annihilator(ex41, (2, 2, 1, 3)))
+
+
+def _assert_left_matches_hull_oracle(seq, w):
+    """Every generator g of left has g + s_I in n NP(J) for each essential
+    I, and every unit step down from g misses it for some I; essential
+    indices, shifts and hull membership all come from the oracles."""
+    n, exps = seq.dim, seq.exps
+    pts = [tuple(w[j] * a for a in e) for j, e in enumerate(exps)]
+    hull = minimalize_simple([tuple(n * a for a in p) for p in pts])
+    essential = [
+        index for index in combinations(range(seq.m), n)
+        if det_permutation([exps[i] for i in index]) != 0 and essential_oracle(pts, index)
+    ]
+    shifts = [
+        tuple(sum((w[i] - 1) * exps[i][j] for i in index) for j in range(n))
+        for index in essential
+    ]
+    seen = {}
+
+    def in_left(x):
+        if x not in seen:
+            seen[x] = all(
+                orthant_hull_member(hull, tuple(a + b for a, b in zip(x, s))) for s in shifts
+            )
+        return seen[x]
+
+    rep = theorem_a_report(seq, w)
+    for g in rep.left.gens:
+        assert in_left(g)
+        for i in range(n):
+            if g[i]:
+                assert not in_left(g[:i] + (g[i] - 1,) + g[i + 1:])
+
+
+def test_theorem_a_left_matches_hull_oracle_3d_4d():
+    rng = random.Random(72)
+    checked = 0
+    while checked < 4:  # 3-D inputs whose scaled set is not a regular sequence
+        seq = MonomialSeq(3, tuple(random_cofinite_gens(rng, 3, max_exp=2, extra=2)))
+        w = random_weight(rng, seq.m, max_w=2)
+        if len(minimalize_simple(scaled_points(seq, w))) > 3:
+            _assert_left_matches_hull_oracle(seq, w)
+            checked += 1
+    seq = MonomialSeq(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)))
+    _assert_left_matches_hull_oracle(seq, (2, 2, 2, 2, 1))
+
+
+@st.composite
+def _weighted_powers(draw):
+    """A small weighted sequence in 2 to 4 variables and a power k."""
+    dim = draw(st.integers(2, 4))
+    top = 4 if dim < 4 else 2
+    gens = [
+        tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(dim))
+        for i in range(dim)
+    ]
+    point = st.tuples(*[st.integers(0, top)] * dim).filter(any)
+    gens += draw(st.lists(point, max_size=2 if dim == 2 else 1))
+    weight = tuple(draw(st.integers(1, 3 if dim < 4 else 2)) for _ in gens)
+    return MonomialSeq(dim, tuple(gens)), weight, draw(st.integers(1, 3 if dim < 4 else 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_weighted_powers())
+def test_power_polyhedron_is_the_scaled_polyhedron(case):
+    """NP(J^k) = k NP(J) facet for facet, the premise of the left ideal's
+    construction, and left <= ann <= right on the same inputs."""
+    seq, w, k = case
+    pts = scaled_points(seq, w)
+    base = newton_polyhedron(pts, seq.dim)
+    power = MonomialIdeal.from_gens(seq.dim, pts).power(k)
+    powered = newton_polyhedron(power.gens, seq.dim)
+    assert [(f.normal, f.level) for f in powered.facets] == [
+        (f.normal, k * f.level) for f in base.facets
+    ]
+    rep = theorem_a_report(seq, w)
+    assert rep.left.issubset(rep.ann) and rep.ann.issubset(rep.right)
 
 
 def test_theorem_a_chain_on_fixture_weights(ex41, ex54, ex41_weights):

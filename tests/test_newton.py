@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,11 @@ from residuum.newton import (
 )
 
 from oracles import in_convex_hull, orthant_hull_member, random_cofinite_gens
+
+
+def _pairs(poly):
+    """The (normal, level) pairs of the polyhedron's compact facets."""
+    return [(f.normal, f.level) for f in poly.facets]
 
 
 def test_single_facet_staircase():
@@ -101,7 +107,7 @@ def test_one_variable_degenerate_facet():
     f = poly.facets[0]
     assert f.normal == (1,) and f.level == 2
     assert facet_det(poly, f) == 2
-    assert minimal_points(poly) == [(2,)]
+    assert minimal_points(_pairs(poly), poly.dim) == [(2,)]
 
 
 def test_staircase_agrees_with_general_hull():
@@ -233,7 +239,7 @@ def test_unit_ideal_polyhedron():
     poly = newton_polyhedron([(0, 0)], 2)
     assert poly.facets == ()
     assert complement_volume(poly) == 0
-    assert minimal_points(poly) == [(0, 0)]
+    assert minimal_points(_pairs(poly), poly.dim) == [(0, 0)]
 
 
 def test_minimal_points_match_box_filter():
@@ -247,4 +253,43 @@ def test_minimal_points_match_box_filter():
             p for p in pts
             if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
         ]
-        assert sorted(minimal) == minimal_points(poly)
+        assert sorted(minimal) == minimal_points(_pairs(poly), poly.dim)
+
+
+def test_minimal_points_without_positive_level_is_the_origin():
+    assert minimal_points([], 3) == [(0, 0, 0)]
+    assert minimal_points([((1, 2), 0), ((3, 1), -4)], 2) == [(0, 0)]
+
+
+def test_minimal_points_one_variable():
+    assert minimal_points([((2,), 5), ((1,), 2), ((3,), -1)], 1) == [(3,)]
+
+
+def test_minimal_points_match_box_filter_on_inequalities():
+    """Random positive normals, each with two redundant copies: the same
+    normal at a lower level, and twice the normal at twice the level less
+    one. Every normal entry is at least 1, so no minimal point has a
+    coordinate above the largest level, and the minimal points of that
+    box are its feasible points from which no unit step down is feasible."""
+    rng = random.Random(61)
+    for dim, count, top in ((2, 20, 9), (3, 12, 6), (4, 4, 3)):
+        for _ in range(count):
+            ineqs = []
+            for _ in range(rng.randint(1, 3)):
+                normal = tuple(rng.randint(1, 4) for _ in range(dim))
+                level = rng.randint(-2, top)
+                ineqs.append((normal, level))
+                ineqs.append((normal, level - rng.randint(1, 3)))
+                ineqs.append((tuple(2 * a for a in normal), 2 * level - 1))
+            rng.shuffle(ineqs)
+
+            def inside(x):
+                return all(sum(a * b for a, b in zip(nu, x)) >= lv for nu, lv in ineqs)
+
+            box = range(max(0, max(lv for _, lv in ineqs)) + 1)
+            expected = [
+                x for x in product(box, repeat=dim)
+                if inside(x)
+                and not any(x[i] and inside(x[:i] + (x[i] - 1,) + x[i + 1:]) for i in range(dim))
+            ]
+            assert minimal_points(ineqs, dim) == expected
